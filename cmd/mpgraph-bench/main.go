@@ -313,8 +313,11 @@ func parseBenchLine(pkg, line string) (Result, bool) {
 // pairSpeedups matches each variant-suffixed benchmark with its counterpart.
 // "Legacy" names are the baseline and pair with the name minus the substring
 // (the fast side); "Int8" names are the variant and pair with the name minus
-// the substring (the float baseline). Callers pass collapsed results (one
-// entry per name); any repeats still present are averaged before pairing.
+// the substring (the float baseline). Each name is emitted once: a variant
+// that also has a Legacy twin (OperateBatch8Int8 and OperateBatch8Int8Legacy)
+// pairs with that twin, the same model, never with the other model its
+// unsuffixed name would give. Callers pass collapsed results (one entry per
+// name); any repeats still present are averaged before pairing.
 func pairSpeedups(results []Result) []Speedup {
 	type agg struct {
 		sum float64
@@ -335,6 +338,9 @@ func pairSpeedups(results []Result) []Speedup {
 	avg := func(a *agg) float64 { return a.sum / float64(a.n) }
 	var out []Speedup
 	for _, name := range order {
+		if _, twin := mean[name+"Legacy"]; twin {
+			continue // emitted by the Legacy case, against the same model
+		}
 		var baseNs, fastNs float64
 		var pairName string
 		switch {

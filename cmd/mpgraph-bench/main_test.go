@@ -117,6 +117,41 @@ ok  	mpgraph/internal/core	2.001s
 	}
 }
 
+// TestPairSpeedupsPrefersLegacyTwin: OperateBatch8Int8 has both a Legacy
+// twin (same int8 model, one call per sample) and an unsuffixed float
+// counterpart (a different model). It must be emitted once, against the twin.
+func TestPairSpeedupsPrefersLegacyTwin(t *testing.T) {
+	const batchBench = `
+pkg: mpgraph/internal/models
+BenchmarkOperateBatch8-8 	    1000	    100000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkOperateBatch8Legacy-8 	    1000	    250000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkOperateBatch8Int8-8 	    1000	    300000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkOperateBatch8Int8Legacy-8 	    1000	    600000 ns/op	       0 B/op	       0 allocs/op
+ok  	mpgraph/internal/models	2.001s
+`
+	results, err := parseBench(strings.NewReader(batchBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := pairSpeedups(results)
+	seen := map[string]Speedup{}
+	for _, p := range sp {
+		if _, dup := seen[p.Name]; dup {
+			t.Fatalf("pair %q emitted twice: %+v", p.Name, sp)
+		}
+		seen[p.Name] = p
+	}
+	if len(sp) != 2 {
+		t.Fatalf("got %d pairs, want 2: %+v", len(sp), sp)
+	}
+	if p := seen["OperateBatch8Int8"]; p.FastNs != 300000 || p.BaseNs != 600000 {
+		t.Fatalf("OperateBatch8Int8 fast/base = %g/%g, want 300000/600000 (its Legacy twin)", p.FastNs, p.BaseNs)
+	}
+	if p := seen["OperateBatch8"]; p.FastNs != 100000 || p.BaseNs != 250000 {
+		t.Fatalf("OperateBatch8 fast/base = %g/%g", p.FastNs, p.BaseNs)
+	}
+}
+
 func compareFixture() (Report, Report) {
 	env := Env{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 8, NumCPU: 8}
 	old := Report{Env: env, Benchmarks: []Result{

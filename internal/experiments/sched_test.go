@@ -117,11 +117,11 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepBatchByteIdentical reruns the sweep with the batched inference
-// tier at every batch size and worker count and requires byte-identical
-// rendered reports — the scheduler's composition-independence contract,
-// end to end. Under -race this doubles as the concurrency gate for the
-// batch tier.
+// TestSweepBatchByteIdentical reruns the sweep without a batch scheduler
+// (Batch 0, the default: every model call is a batch of one) and with one at
+// every batch size and worker count, and requires byte-identical rendered
+// reports — the composition-independence contract, end to end. Under -race
+// this doubles as the concurrency gate for the batch tier.
 func TestSweepBatchByteIdentical(t *testing.T) {
 	origW, origB := shared.Opt.Workers, shared.Opt.Batch
 	defer func() {
@@ -138,7 +138,7 @@ func TestSweepBatchByteIdentical(t *testing.T) {
 	}
 
 	var want []byte
-	for _, batch := range []int{1, 8, 64} {
+	for _, batch := range []int{0, 1, 8, 64} {
 		for _, workers := range []int{1, 4} {
 			shared.Opt.Batch, shared.Opt.Workers = batch, workers
 			// Fresh scheduler per configuration: the cached one was built
@@ -154,7 +154,7 @@ func TestSweepBatchByteIdentical(t *testing.T) {
 				continue
 			}
 			if !bytes.Equal(want, got) {
-				t.Fatalf("batch=%d workers=%d: sweep report differs from batch=1 workers=1", batch, workers)
+				t.Fatalf("batch=%d workers=%d: sweep report differs from batch=0 workers=1", batch, workers)
 			}
 		}
 	}

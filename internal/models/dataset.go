@@ -18,6 +18,21 @@ type Sample struct {
 	DeltaBits   []float64
 	PageTok     int
 	FuturePages []uint64
+
+	// one and pages are the one-sample batch views DeltaScoresWith and
+	// TopPagesWith hand a model's batch method. They live in the sample so
+	// a caller that reuses a scratch sample scores without allocating; like
+	// a tensor.Ctx, a sample is scored by one goroutine at a time.
+	one   [1]*Sample
+	pages [1][]uint64
+}
+
+// batchOfOne returns s as a one-sample batch backed by s itself.
+//
+//mpgraph:noalloc
+func (s *Sample) batchOfOne() []*Sample {
+	s.one[0] = s
+	return s.one[:]
 }
 
 // CurrentBlock is the most recent history block (the delta base).

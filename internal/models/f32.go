@@ -3,9 +3,12 @@ package models
 // Single-precision mirrors of the trained predictors (DESIGN.md §13). Like
 // the int8 mirrors, an f32 model embeds its float64 source — training, the
 // autograd scoring path and Params all delegate — and overrides only the
-// ctx fast path with the f32 kernel composition, so the mirrors slot into
+// batch methods with the f32 kernel composition, so the mirrors slot into
 // DeltaScoresWith/TopPagesWith unchanged: a live ctx runs f32, a nil ctx
-// falls back to the float64 model.
+// falls back to the float64 model. The f32 kernels compute every output row
+// as a pure function of its own session's rows, so f32 scores are
+// bit-identical at any batch size — the same cross-batch-size contract the
+// float64 and int8 tiers pin.
 //
 // Unlike int8 there is no calibration: weights are narrowed once at
 // conversion (f64 → f32 round-to-nearest) and the activation path runs
@@ -48,16 +51,6 @@ func convertModalityEncoderF32(m *modalityEncoder) *f32ModalityEncoder {
 	return f
 }
 
-//mpgraph:noalloc
-func (m *f32ModalityEncoder) encodeFeaturesCtx(c *tensor.Ctx, x *tensor.F32Tensor) *tensor.F32Tensor {
-	return m.attn.ForwardCtx(c, c.AddF32(m.lin.ForwardCtx(c, x), m.pos))
-}
-
-//mpgraph:noalloc
-func (m *f32ModalityEncoder) encodeTokensCtx(c *tensor.Ctx, ids []int) *tensor.F32Tensor {
-	return m.attn.ForwardCtx(c, c.AddF32(m.table.ForwardCtx(c, ids), m.pos))
-}
-
 // f32AMMACore mirrors ammaCore with every block narrowed to f32.
 type f32AMMACore struct {
 	modA, modB *f32ModalityEncoder
@@ -79,21 +72,6 @@ func convertAMMACoreF32(core *ammaCore) *f32AMMACore {
 		fc.phaseEmb = nn.NewF32Embedding(core.phaseEmb)
 	}
 	return fc
-}
-
-// forwardCtx is ammaCore.forwardCtx on the f32 kernels.
-//
-//mpgraph:noalloc
-func (fc *f32AMMACore) forwardCtx(c *tensor.Ctx, encA, encB *tensor.F32Tensor, phase int) *tensor.F32Tensor {
-	fused := fc.fusion.ForwardCtx2(c, encA, encB) //mpgraph:allow noalloc -- fixed-arity fast path; the cross-package naming rule keys on a Ctx suffix
-	if fc.phaseEmb != nil {
-		p := phase % fc.phaseEmb.Vocab() //mpgraph:allow noalloc -- Vocab is a field read
-		fused = c.AddBiasF32(fused, fc.phaseEmb.ForwardCtx(c, phaseIDScratch(c, p)))
-	}
-	for _, tl := range fc.trans {
-		fused = tl.ForwardCtx(c, fused)
-	}
-	return c.MeanRowsF32(fused)
 }
 
 // sigmoidScoresF32 widens sigmoid(logits) into the float64 score vector the
@@ -128,23 +106,6 @@ func NewF32AMMADelta(m *AMMADelta) *F32AMMADelta {
 	return &F32AMMADelta{AMMADelta: m, fcore: convertAMMACoreF32(m.core), fhead: nn.NewF32MLP(m.head)}
 }
 
-//mpgraph:noalloc
-func (m *F32AMMADelta) flogitsCtx(c *tensor.Ctx, s *Sample) *tensor.F32Tensor {
-	encA := m.fcore.modA.encodeFeaturesCtx(c, c.NarrowCtxF32(addrFeatureTensorCtx(c, m.cfg, s.Blocks)))
-	encB := m.fcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.fhead.ForwardCtx(c, m.fcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
-// DeltaScoresCtx implements DeltaScorerCtx on the f32 path.
-//
-//mpgraph:noalloc
-func (m *F32AMMADelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
-	if c == nil {
-		return m.DeltaScores(s)
-	}
-	return sigmoidScoresF32(c, m.flogitsCtx(c, s)).Data
-}
-
 // F32AMMAPage is the f32 mirror of AMMAPage.
 type F32AMMAPage struct {
 	*AMMAPage
@@ -155,25 +116,6 @@ type F32AMMAPage struct {
 // NewF32AMMAPage narrows m's weights into an f32 mirror.
 func NewF32AMMAPage(m *AMMAPage) *F32AMMAPage {
 	return &F32AMMAPage{AMMAPage: m, fcore: convertAMMACoreF32(m.core), fhead: nn.NewF32MLP(m.head)}
-}
-
-//mpgraph:noalloc
-func (m *F32AMMAPage) flogitsCtx(c *tensor.Ctx, s *Sample) *tensor.F32Tensor {
-	encA := m.fcore.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.fcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.fhead.ForwardCtx(c, m.fcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
-// TopPagesAppendCtx implements PageTopperCtx on the f32 path. Ranking runs
-// over the exactly-widened f32 logits, so tie ordering matches what the f32
-// kernels produced.
-//
-//mpgraph:noalloc
-func (m *F32AMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
-	}
-	return topPagesAppendCtx(c, m.pages, c.WidenCtxF32(m.flogitsCtx(c, s)).Data, k, dst)
 }
 
 // F32LSTMDelta is the f32 mirror of the Delta-LSTM baseline — the
@@ -187,22 +129,6 @@ type F32LSTMDelta struct {
 // NewF32LSTMDelta narrows m's weights into an f32 mirror.
 func NewF32LSTMDelta(m *LSTMDelta) *F32LSTMDelta {
 	return &F32LSTMDelta{LSTMDelta: m, flstm: nn.NewF32LSTM(m.lstm), fhead: nn.NewF32MLP(m.head)}
-}
-
-//mpgraph:noalloc
-func (m *F32LSTMDelta) flogitsCtx(c *tensor.Ctx, s *Sample) *tensor.F32Tensor {
-	x := c.NarrowCtxF32(concatStepFeaturesCtx(c, m.cfg, s.Blocks, s.PCs))
-	return m.fhead.ForwardCtx(c, m.flstm.ForwardCtx(c, x))
-}
-
-// DeltaScoresCtx implements DeltaScorerCtx on the f32 path.
-//
-//mpgraph:noalloc
-func (m *F32LSTMDelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
-	if c == nil {
-		return m.DeltaScores(s)
-	}
-	return sigmoidScoresF32(c, m.flogitsCtx(c, s)).Data
 }
 
 // F32BinaryPage is the f32 mirror of the binary-encoded compressed page
@@ -221,24 +147,88 @@ func NewF32BinaryPage(m *BinaryPage) *F32BinaryPage {
 	return &F32BinaryPage{BinaryPage: m, fcore: convertAMMACoreF32(m.core)}
 }
 
+// --- f32 forwards ---
+
 //mpgraph:noalloc
-func (m *F32BinaryPage) flogitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	encA := m.fcore.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.fcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	pooled := c.WidenCtxF32(m.fcore.forwardCtx(c, encA, encB, s.Phase))
-	return m.head.ForwardCtx(c, pooled)
+func (m *f32ModalityEncoder) encodeFeaturesBatchCtx(c *tensor.Ctx, x *tensor.F32Tensor, blocks int) *tensor.F32Tensor {
+	return m.attn.ForwardBatchCtx(c, c.AddPosBatchF32(m.lin.ForwardCtx(c, x), m.pos, blocks), blocks)
 }
 
-// TopPagesAppendCtx implements PageTopperCtx on the f32 path, using the same
-// bit-flip candidate decode as the float model.
+//mpgraph:noalloc
+func (m *f32ModalityEncoder) encodeTokensBatchCtx(c *tensor.Ctx, ids []int, blocks int) *tensor.F32Tensor {
+	return m.attn.ForwardBatchCtx(c, c.AddPosBatchF32(m.table.ForwardCtx(c, ids), m.pos, blocks), blocks)
+}
+
+// forwardBatchCtx is ammaCore.forwardBatchCtx on the f32 kernels.
 //
 //mpgraph:noalloc
-func (m *F32BinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
+func (fc *f32AMMACore) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.F32Tensor, ss []*Sample) *tensor.F32Tensor {
+	blocks := len(ss)
+	fused := fc.fusion.ForwardBatchCtx2(c, encA, encB, blocks) //mpgraph:allow noalloc -- fixed-arity fast path; the cross-package naming rule keys on a Ctx suffix
+	if fc.phaseEmb != nil {
+		ids := phaseIDsBatch(c, ss, fc.phaseEmb.Vocab()) //mpgraph:allow noalloc -- Vocab is a field read
+		fused = c.AddRowPerBlockF32(fused, fc.phaseEmb.Table, ids, blocks)
 	}
-	probs := c.SigmoidInPlace(m.flogitsCtx(c, s)).Data
-	return binaryTopPagesAppendCtx(c, m.pages, probs, k, dst)
+	for _, tl := range fc.trans {
+		fused = tl.ForwardBatchCtx(c, fused, blocks)
+	}
+	return c.MeanRowsBatchF32(fused, blocks)
+}
+
+//mpgraph:noalloc
+func (m *F32AMMADelta) flogitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.F32Tensor {
+	t := batchT(ss)
+	encA := m.fcore.modA.encodeFeaturesBatchCtx(c, c.NarrowCtxF32(addrFeatureTensorBatchCtx(c, m.cfg, ss, t)), len(ss))
+	encB := m.fcore.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	return m.fhead.ForwardCtx(c, m.fcore.forwardBatchCtx(c, encA, encB, ss))
+}
+
+// DeltaScoresBatchCtx implements DeltaScorerBatchCtx on the f32 path.
+//
+//mpgraph:noalloc
+func (m *F32AMMADelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	return sigmoidScoresF32(c, m.flogitsBatchCtx(c, ss))
+}
+
+//mpgraph:noalloc
+func (m *F32AMMAPage) flogitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.F32Tensor {
+	t := batchT(ss)
+	encA := m.fcore.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
+	encB := m.fcore.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	return m.fhead.ForwardCtx(c, m.fcore.forwardBatchCtx(c, encA, encB, ss))
+}
+
+// TopPagesBatchAppendCtx implements PageTopperBatchCtx on the f32 path.
+//
+//mpgraph:noalloc
+func (m *F32AMMAPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
+	topPagesRows(c, m.pages, c.WidenCtxF32(m.flogitsBatchCtx(c, ss)), k, dst)
+}
+
+//mpgraph:noalloc
+func (m *F32LSTMDelta) flogitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.F32Tensor {
+	t := batchT(ss)
+	x := c.NarrowCtxF32(concatStepFeaturesBatchCtx(c, m.cfg, ss, t))
+	return m.fhead.ForwardCtx(c, m.flstm.ForwardBatchCtx(c, x, len(ss)))
+}
+
+// DeltaScoresBatchCtx implements DeltaScorerBatchCtx on the f32 path.
+//
+//mpgraph:noalloc
+func (m *F32LSTMDelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	return sigmoidScoresF32(c, m.flogitsBatchCtx(c, ss))
+}
+
+// TopPagesBatchAppendCtx implements PageTopperBatchCtx: the backbone runs
+// f32, the pooled rows are widened once, and the float head and bit decode
+// run as in BinaryPage.
+//
+//mpgraph:noalloc
+func (m *F32BinaryPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
+	t := batchT(ss)
+	encA := m.fcore.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
+	encB := m.fcore.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	m.topPagesFromPooled(c, c.WidenCtxF32(m.fcore.forwardBatchCtx(c, encA, encB, ss)), k, dst)
 }
 
 // --- suite conversion ---

@@ -45,14 +45,13 @@ func TestF32DeltaParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := fm.(DeltaScorerCtx)
 	ctx := tensor.NewCtx()
 	const topD = 8
 	var overlapSum float64
 	var maxUlp int64
 	for _, s := range ds.Samples {
 		want := delta.DeltaScores(s)
-		got := fc.DeltaScoresCtx(ctx, s)
+		got := DeltaScoresWith(ctx, fm, s)
 		overlapSum += overlapAtK(got, want, topD)
 		for i := range want {
 			if d := f32UlpDist(got[i], want[i]); d > maxUlp {
@@ -75,13 +74,12 @@ func TestF32PageParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := fm.(PageTopperCtx)
 	ctx := tensor.NewCtx()
 	agree, total := 0, 0
 	var dst []uint64
 	for _, s := range ds.Samples {
 		want := page.TopPages(s, 1)
-		dst = fc.TopPagesAppendCtx(ctx, s, 1, dst[:0])
+		dst = TopPagesWith(ctx, fm, s, 1, dst[:0])
 		ctx.Reset()
 		if len(want) == 0 && len(dst) == 0 {
 			continue
@@ -105,13 +103,12 @@ func TestF32BinaryPageParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := fm.(PageTopperCtx)
 	ctx := tensor.NewCtx()
 	agree, total := 0, 0
 	var dst []uint64
 	for _, s := range ds.Samples {
 		want := bin.TopPages(s, 1)
-		dst = fc.TopPagesAppendCtx(ctx, s, 1, dst[:0])
+		dst = TopPagesWith(ctx, fm, s, 1, dst[:0])
 		ctx.Reset()
 		if len(want) == 0 && len(dst) == 0 {
 			continue
@@ -151,7 +148,7 @@ func TestConvertF32PhaseSpecific(t *testing.T) {
 	ctx := tensor.NewCtx()
 	restore := tensor.SetGradEnabled(false)
 	defer tensor.SetGradEnabled(restore)
-	got := fps.DeltaScoresCtx(ctx, ds.Samples[0])
+	got := DeltaScoresWith(ctx, fps, ds.Samples[0])
 	if len(got) != ds.Cfg.DeltaClasses() {
 		t.Fatalf("scores width %d", len(got))
 	}
@@ -176,7 +173,7 @@ func TestF32NilCtxFallsBackToFloat(t *testing.T) {
 	f := fm.(*F32AMMADelta)
 	s := ds.Samples[0]
 	want := delta.DeltaScores(s)
-	got := f.DeltaScoresCtx(nil, s)
+	got := DeltaScoresWith(nil, f, s)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("nil-ctx f32 path diverges from float at %d", i)
@@ -199,10 +196,10 @@ func TestConvertSuiteF32Pair(t *testing.T) {
 	}
 }
 
-// TestF32BatchMatchesSequential: the f32 batch path must be bit-identical to
-// sequential f32 inference at every batch size — all f32 ops route through
-// the batched panel kernels, so this is the same byte-identity contract the
-// int8 tier pins.
+// TestF32BatchMatchesSequential: a sample's f32 scores must be bit-identical
+// whether it is scored alone (DeltaScoresWith, a batch of one) or inside a
+// batch of any size — the same byte-identity contract the float64 and int8
+// tiers pin.
 func TestF32BatchMatchesSequential(t *testing.T) {
 	cfg := SmallConfig()
 	pages, pcs := batchTestVocabs(cfg)
@@ -217,6 +214,7 @@ func TestF32BatchMatchesSequential(t *testing.T) {
 	pageModels := map[string]PageModel{
 		"f32-amma-page": NewF32AMMAPage(NewAMMAPage(cfg, pages, pcs, 0, 8)),
 		"f32-pi-page":   NewF32AMMAPage(NewAMMAPage(cfg, pages, pcs, 3, 9)),
+		"f32-bin-page":  NewF32BinaryPage(NewBinaryPage(cfg, pages, pcs, 10)),
 	}
 
 	seqCtx := tensor.NewCtx()
@@ -264,8 +262,8 @@ func TestF32BatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestF32ZeroAlloc: the sequential and batched f32 fast paths stay
-// 0 allocs/op once the arena is warm.
+// TestF32ZeroAlloc: single-sample and batched f32 scoring stay 0 allocs/op
+// once the arena is warm.
 func TestF32ZeroAlloc(t *testing.T) {
 	cfg := SmallConfig()
 	pages, pcs := batchTestVocabs(cfg)
@@ -290,7 +288,7 @@ func TestF32ZeroAlloc(t *testing.T) {
 			DeltaScoresWith(ctx, m, ss[0])
 			ctx.Reset()
 		}); avg != 0 {
-			t.Fatalf("%s sequential: %v allocs/op, want 0", name, avg)
+			t.Fatalf("%s single: %v allocs/op, want 0", name, avg)
 		}
 		if avg := testing.AllocsPerRun(20, func() {
 			DeltaScoresBatchWith(ctx, m, ss)

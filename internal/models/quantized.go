@@ -2,10 +2,15 @@ package models
 
 // Int8 quantized mirrors of the trained predictors (DESIGN.md §10). A
 // quantized model embeds its float source — training, the autograd scoring
-// path and Params all delegate — and overrides only the ctx fast path with
+// path and Params all delegate — and overrides only the batch methods with
 // the int8 kernel composition. The mirrors therefore slot into
 // DeltaScoresWith/TopPagesWith unchanged: a live ctx runs int8, a nil ctx
-// falls back to the float model.
+// falls back to the float model. These overrides MUST exist for every batch
+// method the embedded float model has, or the mirror would silently run
+// float. The int8 backbone and heads use the exact per-row kernels (per-row
+// int8 GEMM, exact softmax/sigmoid, block-exact attention and mean), and
+// QBinaryPage's float bit head runs as in BinaryPage. Either way a sample's
+// scores are bit-identical at any batch size.
 //
 // Construction is two-phase. NewQ* quantizes the weights (per-channel
 // symmetric int8) and leaves every layer in calibration mode: forwards run
@@ -45,16 +50,6 @@ func quantizeModalityEncoder(m *modalityEncoder) *qModalityEncoder {
 	return q
 }
 
-//mpgraph:noalloc
-func (m *qModalityEncoder) encodeFeaturesCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	return m.attn.ForwardCtx(c, c.Add(m.lin.ForwardCtx(c, x), m.src.pos))
-}
-
-//mpgraph:noalloc
-func (m *qModalityEncoder) encodeTokensCtx(c *tensor.Ctx, ids []int) *tensor.Tensor {
-	return m.attn.ForwardCtx(c, c.Add(m.src.table.ForwardCtx(c, ids), m.src.pos))
-}
-
 func (m *qModalityEncoder) freeze() {
 	if m.lin != nil {
 		m.lin.Freeze()
@@ -83,21 +78,6 @@ func quantizeAMMACore(core *ammaCore) *qAMMACore {
 	return qc
 }
 
-// forwardCtx is ammaCore.forwardCtx on the int8 kernels.
-//
-//mpgraph:noalloc
-func (qc *qAMMACore) forwardCtx(c *tensor.Ctx, encA, encB *tensor.Tensor, phase int) *tensor.Tensor {
-	fused := qc.fusion.ForwardCtx2(c, encA, encB) //mpgraph:allow noalloc -- fixed-arity fast path; the cross-package naming rule keys on a Ctx suffix
-	if qc.src.phaseEmb != nil {
-		p := phase % qc.src.phaseEmb.Vocab() //mpgraph:allow noalloc -- Vocab is a field read
-		fused = c.AddBias(fused, qc.src.phaseEmb.ForwardCtx(c, phaseIDScratch(c, p)))
-	}
-	for _, tl := range qc.trans {
-		fused = tl.ForwardCtx(c, fused)
-	}
-	return c.MeanRows(fused)
-}
-
 func (qc *qAMMACore) freeze() {
 	qc.modA.freeze()
 	qc.modB.freeze()
@@ -123,23 +103,6 @@ func NewQAMMADelta(m *AMMADelta) *QAMMADelta {
 	return &QAMMADelta{AMMADelta: m, qcore: quantizeAMMACore(m.core), qhead: nn.NewQMLP(m.head)}
 }
 
-//mpgraph:noalloc
-func (m *QAMMADelta) qlogitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	encA := m.qcore.modA.encodeFeaturesCtx(c, addrFeatureTensorCtx(c, m.cfg, s.Blocks))
-	encB := m.qcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.qhead.ForwardCtx(c, m.qcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
-// DeltaScoresCtx implements DeltaScorerCtx on the int8 path.
-//
-//mpgraph:noalloc
-func (m *QAMMADelta) DeltaScoresCtx(c *tensor.Ctx, s *Sample) []float64 {
-	if c == nil {
-		return m.DeltaScores(s)
-	}
-	return c.SigmoidInPlace(m.qlogitsCtx(c, s)).Data
-}
-
 // Freeze locks the calibrated activation scales.
 func (m *QAMMADelta) Freeze() {
 	m.qcore.freeze()
@@ -156,23 +119,6 @@ type QAMMAPage struct {
 // NewQAMMAPage quantizes m's weights; the mirror starts in calibration mode.
 func NewQAMMAPage(m *AMMAPage) *QAMMAPage {
 	return &QAMMAPage{AMMAPage: m, qcore: quantizeAMMACore(m.core), qhead: nn.NewQMLP(m.head)}
-}
-
-//mpgraph:noalloc
-func (m *QAMMAPage) qlogitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	encA := m.qcore.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.qcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.qhead.ForwardCtx(c, m.qcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
-// TopPagesAppendCtx implements PageTopperCtx on the int8 path.
-//
-//mpgraph:noalloc
-func (m *QAMMAPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
-	}
-	return topPagesAppendCtx(c, m.pages, m.qlogitsCtx(c, s).Data, k, dst)
 }
 
 // Freeze locks the calibrated activation scales.
@@ -199,58 +145,105 @@ func NewQBinaryPage(m *BinaryPage) *QBinaryPage {
 	return &QBinaryPage{BinaryPage: m, qcore: quantizeAMMACore(m.core)}
 }
 
-//mpgraph:noalloc
-func (m *QBinaryPage) qlogitsCtx(c *tensor.Ctx, s *Sample) *tensor.Tensor {
-	encA := m.qcore.modA.encodeTokensCtx(c, pageTokensCtx(c, m.pages, s.Blocks))
-	encB := m.qcore.modB.encodeTokensCtx(c, pcTokensCtx(c, m.pcs, s.PCs))
-	return m.head.ForwardCtx(c, m.qcore.forwardCtx(c, encA, encB, s.Phase))
-}
-
-// TopPagesAppendCtx implements PageTopperCtx on the int8 path, using the
-// same bit-flip candidate decode as the float model.
-//
-//mpgraph:noalloc
-func (m *QBinaryPage) TopPagesAppendCtx(c *tensor.Ctx, s *Sample, k int, dst []uint64) []uint64 {
-	if c == nil {
-		return append(dst, m.TopPages(s, k)...)
-	}
-	probs := c.SigmoidInPlace(m.qlogitsCtx(c, s)).Data
-	return binaryTopPagesAppendCtx(c, m.pages, probs, k, dst)
-}
-
 // Freeze locks the calibrated activation scales.
 func (m *QBinaryPage) Freeze() {
 	m.qcore.freeze()
 }
 
+// --- int8 forwards ---
+
+//mpgraph:noalloc
+func (m *qModalityEncoder) encodeFeaturesBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
+	return m.attn.ForwardBatchCtx(c, c.AddPosBatch(m.lin.ForwardCtx(c, x), m.src.pos, blocks), blocks)
+}
+
+//mpgraph:noalloc
+func (m *qModalityEncoder) encodeTokensBatchCtx(c *tensor.Ctx, ids []int, blocks int) *tensor.Tensor {
+	return m.attn.ForwardBatchCtx(c, c.AddPosBatch(m.src.table.ForwardCtx(c, ids), m.src.pos, blocks), blocks)
+}
+
+// forwardBatchCtx is ammaCore.forwardBatchCtx on the int8 kernels.
+//
+//mpgraph:noalloc
+func (qc *qAMMACore) forwardBatchCtx(c *tensor.Ctx, encA, encB *tensor.Tensor, ss []*Sample) *tensor.Tensor {
+	blocks := len(ss)
+	fused := qc.fusion.ForwardBatchCtx2(c, encA, encB, blocks) //mpgraph:allow noalloc -- fixed-arity fast path; the cross-package naming rule keys on a Ctx suffix
+	if qc.src.phaseEmb != nil {
+		ids := phaseIDsBatch(c, ss, qc.src.phaseEmb.Vocab()) //mpgraph:allow noalloc -- Vocab is a field read
+		fused = c.AddRowPerBlock(fused, qc.src.phaseEmb.Table, ids, blocks)
+	}
+	for _, tl := range qc.trans {
+		fused = tl.ForwardBatchCtx(c, fused, blocks)
+	}
+	return c.MeanRowsBatch(fused, blocks)
+}
+
+//mpgraph:noalloc
+func (m *QAMMADelta) qlogitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	t := batchT(ss)
+	encA := m.qcore.modA.encodeFeaturesBatchCtx(c, addrFeatureTensorBatchCtx(c, m.cfg, ss, t), len(ss))
+	encB := m.qcore.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	return m.qhead.ForwardCtx(c, m.qcore.forwardBatchCtx(c, encA, encB, ss))
+}
+
+// DeltaScoresBatchCtx implements DeltaScorerBatchCtx on the int8 path.
+//
+//mpgraph:noalloc
+func (m *QAMMADelta) DeltaScoresBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	return c.SigmoidInPlace(m.qlogitsBatchCtx(c, ss))
+}
+
+//mpgraph:noalloc
+func (m *QAMMAPage) qlogitsBatchCtx(c *tensor.Ctx, ss []*Sample) *tensor.Tensor {
+	t := batchT(ss)
+	encA := m.qcore.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
+	encB := m.qcore.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	return m.qhead.ForwardCtx(c, m.qcore.forwardBatchCtx(c, encA, encB, ss))
+}
+
+// TopPagesBatchAppendCtx implements PageTopperBatchCtx on the int8 path.
+//
+//mpgraph:noalloc
+func (m *QAMMAPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
+	topPagesRows(c, m.pages, m.qlogitsBatchCtx(c, ss), k, dst)
+}
+
+// TopPagesBatchAppendCtx implements PageTopperBatchCtx: the backbone runs
+// int8, the float head and bit decode run as in BinaryPage.
+//
+//mpgraph:noalloc
+func (m *QBinaryPage) TopPagesBatchAppendCtx(c *tensor.Ctx, ss []*Sample, k int, dst [][]uint64) {
+	t := batchT(ss)
+	encA := m.qcore.modA.encodeTokensBatchCtx(c, pageTokensBatchCtx(c, m.pages, ss, t), len(ss))
+	encB := m.qcore.modB.encodeTokensBatchCtx(c, pcTokensBatchCtx(c, m.pcs, ss, t), len(ss))
+	m.topPagesFromPooled(c, m.qcore.forwardBatchCtx(c, encA, encB, ss), k, dst)
+}
+
 // --- calibration and suite quantization ---
 
-// runDeltaCalibration forwards up to calibLimit samples through the mirror
-// in calibration mode, then freezes it.
-func runDeltaCalibration(q DeltaScorerCtx, freeze func(), samples []*Sample) {
-	ctx := tensor.NewCtx()
-	for i, s := range samples {
-		if i == calibLimit {
-			break
-		}
-		q.DeltaScoresCtx(ctx, s)
-		ctx.Reset()
+// calibrateDelta runs up to calibLimit samples through q, still in
+// calibration mode, as one batch, then freezes it. Observers record max-abs
+// ranges, which one batch covers exactly as per-sample calls would.
+func calibrateDelta(q DeltaScorerBatchCtx, freeze func(), samples []*Sample) {
+	if ss := calibrationBatch(samples); len(ss) > 0 {
+		q.DeltaScoresBatchCtx(tensor.NewCtx(), ss)
 	}
 	freeze()
 }
 
-// runPageCalibration is runDeltaCalibration for page mirrors.
-func runPageCalibration(q PageTopperCtx, freeze func(), samples []*Sample) {
-	ctx := tensor.NewCtx()
-	var dst [1]uint64
-	for i, s := range samples {
-		if i == calibLimit {
-			break
-		}
-		q.TopPagesAppendCtx(ctx, s, 1, dst[:0])
-		ctx.Reset()
+// calibratePage is calibrateDelta for page mirrors.
+func calibratePage(q PageTopperBatchCtx, freeze func(), samples []*Sample) {
+	if ss := calibrationBatch(samples); len(ss) > 0 {
+		q.TopPagesBatchAppendCtx(tensor.NewCtx(), ss, 1, make([][]uint64, len(ss)))
 	}
 	freeze()
+}
+
+func calibrationBatch(samples []*Sample) []*Sample {
+	if len(samples) > calibLimit {
+		return samples[:calibLimit]
+	}
+	return samples
 }
 
 // phaseSamples selects the calibration samples a phase-specific sub-model
@@ -280,7 +273,7 @@ func QuantizeDelta(m DeltaModel, calib []*Sample) (DeltaModel, error) {
 	switch t := m.(type) {
 	case *AMMADelta:
 		q := NewQAMMADelta(t)
-		runDeltaCalibration(q, q.Freeze, calib)
+		calibrateDelta(q, q.Freeze, calib)
 		return q, nil
 	case *PhaseSpecificDelta:
 		out := &PhaseSpecificDelta{Models: make([]DeltaModel, len(t.Models))}
@@ -304,11 +297,11 @@ func QuantizePage(m PageModel, calib []*Sample) (PageModel, error) {
 	switch t := m.(type) {
 	case *AMMAPage:
 		q := NewQAMMAPage(t)
-		runPageCalibration(q, q.Freeze, calib)
+		calibratePage(q, q.Freeze, calib)
 		return q, nil
 	case *BinaryPage:
 		q := NewQBinaryPage(t)
-		runPageCalibration(q, q.Freeze, calib)
+		calibratePage(q, q.Freeze, calib)
 		return q, nil
 	case *PhaseSpecificPage:
 		out := &PhaseSpecificPage{Models: make([]PageModel, len(t.Models))}

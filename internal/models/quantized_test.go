@@ -51,13 +51,12 @@ func TestQuantizedDeltaParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := qm.(DeltaScorerCtx)
 	ctx := tensor.NewCtx()
 	const topD = 8
 	var overlapSum float64
 	for _, s := range ds.Samples {
 		want := delta.DeltaScores(s)
-		got := qc.DeltaScoresCtx(ctx, s)
+		got := DeltaScoresWith(ctx, qm, s)
 		overlapSum += overlapAtK(got, want, topD)
 		ctx.Reset()
 	}
@@ -72,13 +71,12 @@ func TestQuantizedPageParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := qm.(PageTopperCtx)
 	ctx := tensor.NewCtx()
 	agree, total := 0, 0
 	var dst []uint64
 	for _, s := range ds.Samples {
 		want := page.TopPages(s, 1)
-		dst = qc.TopPagesAppendCtx(ctx, s, 1, dst[:0])
+		dst = TopPagesWith(ctx, qm, s, 1, dst[:0])
 		ctx.Reset()
 		if len(want) == 0 && len(dst) == 0 {
 			continue
@@ -102,13 +100,12 @@ func TestQuantizedBinaryPageParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qc := qm.(PageTopperCtx)
 	ctx := tensor.NewCtx()
 	agree, total := 0, 0
 	var dst []uint64
 	for _, s := range ds.Samples {
 		want := bin.TopPages(s, 1)
-		dst = qc.TopPagesAppendCtx(ctx, s, 1, dst[:0])
+		dst = TopPagesWith(ctx, qm, s, 1, dst[:0])
 		ctx.Reset()
 		if len(want) == 0 && len(dst) == 0 {
 			continue
@@ -132,14 +129,14 @@ func TestQuantizedBinaryPageParity(t *testing.T) {
 }
 
 func TestBinaryPageFastPathMatchesSlow(t *testing.T) {
-	// The float BinaryPage ctx fast path must reproduce TopPages exactly —
+	// The float BinaryPage arena path must reproduce TopPages exactly —
 	// same candidate enumeration, same tie ordering.
 	ds, _, _, bin := quantParityData(t)
 	ctx := tensor.NewCtx()
 	var dst []uint64
 	for _, s := range ds.Samples[:200] {
 		want := bin.TopPages(s, 3)
-		dst = bin.TopPagesAppendCtx(ctx, s, 3, dst[:0])
+		dst = TopPagesWith(ctx, bin, s, 3, dst[:0])
 		ctx.Reset()
 		if len(want) != len(dst) {
 			t.Fatalf("fast path returned %d pages, slow %d", len(dst), len(want))
@@ -174,7 +171,7 @@ func TestQuantizePhaseSpecific(t *testing.T) {
 	}
 	ctx := tensor.NewCtx()
 	s := ds.Samples[0]
-	got := qps.DeltaScoresCtx(ctx, s)
+	got := DeltaScoresWith(ctx, qps, s)
 	if len(got) != ds.Cfg.DeltaClasses() {
 		t.Fatalf("scores width %d", len(got))
 	}
@@ -201,7 +198,7 @@ func TestQuantizedNilCtxFallsBackToFloat(t *testing.T) {
 	q := qm.(*QAMMADelta)
 	s := ds.Samples[0]
 	want := delta.DeltaScores(s)
-	got := q.DeltaScoresCtx(nil, s)
+	got := DeltaScoresWith(nil, q, s)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("nil-ctx quantized path diverges from float at %d", i)

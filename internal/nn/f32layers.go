@@ -6,7 +6,7 @@ import (
 	"mpgraph/internal/tensor"
 )
 
-// Single-precision mirrors of the ForwardCtx layer set (DESIGN.md §13).
+// Single-precision mirrors of the inference layer set (DESIGN.md §13).
 // Unlike the int8 mirrors there is no calibration phase: f32 keeps enough
 // mantissa that weights are narrowed once at construction (or widened from
 // an f16 snapshot) and used directly. Float64 stays the training and
@@ -99,15 +99,6 @@ func NewF32SelfAttention(s *SelfAttention) *F32SelfAttention {
 	}
 }
 
-// ForwardCtx attends over x [T x in] and returns [T x dim]. One sequence is
-// the blocks=1 case of the batched kernel, so sequential and batched f32
-// attention share one code path (and bits).
-//
-//mpgraph:noalloc
-func (s *F32SelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.F32Tensor) *tensor.F32Tensor {
-	return s.ForwardBatchCtx(c, x, 1)
-}
-
 // ForwardBatchCtx attends independently inside each of the `blocks` session
 // blocks of the stacked sequence.
 //
@@ -132,13 +123,6 @@ func NewF32MultiHeadSelfAttention(m *MultiHeadSelfAttention) *F32MultiHeadSelfAt
 		f.Heads = append(f.Heads, NewF32SelfAttention(h))
 	}
 	return f
-}
-
-// ForwardCtx attends over x with every head and reprojects.
-//
-//mpgraph:noalloc
-func (m *F32MultiHeadSelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.F32Tensor) *tensor.F32Tensor {
-	return m.ForwardBatchCtx(c, x, 1)
 }
 
 // ForwardBatchCtx runs every head over the stacked block and reprojects.
@@ -185,13 +169,6 @@ func NewF32TransformerLayer(t *TransformerLayer) *F32TransformerLayer {
 	}
 }
 
-// ForwardCtx applies the layer to x [T x dim].
-//
-//mpgraph:noalloc
-func (t *F32TransformerLayer) ForwardCtx(c *tensor.Ctx, x *tensor.F32Tensor) *tensor.F32Tensor {
-	return t.ForwardBatchCtx(c, x, 1)
-}
-
 // ForwardBatchCtx applies the layer to the stacked block; attention respects
 // session boundaries, residuals and norms are row-wise.
 //
@@ -208,13 +185,6 @@ type F32MMAF struct {
 
 // NewF32MMAF mirrors the fusion attention.
 func NewF32MMAF(m *MMAF) *F32MMAF { return &F32MMAF{Attn: NewF32SelfAttention(m.Attn)} }
-
-// ForwardCtx2 fuses exactly two modality sequences — the AMMA hot path.
-//
-//mpgraph:noalloc
-func (m *F32MMAF) ForwardCtx2(c *tensor.Ctx, a, b *tensor.F32Tensor) *tensor.F32Tensor {
-	return m.Attn.ForwardCtx(c, c.ConcatRows2F32(a, b))
-}
 
 // ForwardBatchCtx2 fuses two stacked modality sequences block by block.
 //
@@ -270,34 +240,6 @@ func NewF32LSTM(l *LSTM) *F32LSTM {
 		Wxo: n(l.Wxo), Who: n(l.Who), Bo: n(l.Bo),
 		Hidden: l.Hidden,
 	}
-}
-
-// ForwardCtx consumes the sequence x [T x in] one row at a time and returns
-// the final hidden state [1 x hidden]. The cell update mirrors the batched
-// kernel's structure (h = tanh(c) via the vectorized activation, then the
-// output-gate product) so sequential and batched f32 LSTMs are bit-identical.
-//
-//mpgraph:noalloc
-func (l *F32LSTM) ForwardCtx(ctx *tensor.Ctx, x *tensor.F32Tensor) *tensor.F32Tensor {
-	h := ctx.ZerosF32(1, l.Hidden)
-	c := ctx.ZerosF32(1, l.Hidden)
-	for t := 0; t < x.Rows; t++ {
-		xt := ctx.RowViewF32(x, t)
-		i := ctx.Linear2ActF32(xt, l.Wxi, h, l.Whi, l.Bi, tensor.ActSigmoid)
-		f := ctx.Linear2ActF32(xt, l.Wxf, h, l.Whf, l.Bf, tensor.ActSigmoid)
-		g := ctx.Linear2ActF32(xt, l.Wxg, h, l.Whg, l.Bg, tensor.ActTanh)
-		o := ctx.Linear2ActF32(xt, l.Wxo, h, l.Who, l.Bo, tensor.ActSigmoid)
-		for j := range c.Data {
-			cv := f.Data[j]*c.Data[j] + i.Data[j]*g.Data[j]
-			c.Data[j] = cv
-			h.Data[j] = cv
-		}
-		tensor.ApplyActFastF32(h.Data, tensor.ActTanh) //mpgraph:allow noalloc -- in-place over the arena row; the cross-package naming rule keys on Ctx/Into suffixes
-		for j := range h.Data {
-			h.Data[j] *= o.Data[j]
-		}
-	}
-	return h
 }
 
 // ForwardBatchCtx consumes `blocks` stacked sequences step-synchronously,

@@ -51,11 +51,11 @@ func TestF32LayersMatchFloat(t *testing.T) {
 		}},
 		{"selfattention", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			s := NewSelfAttention(16, 8, rand.New(rand.NewSource(2)))
-			return s.ForwardCtx(c, x), NewF32SelfAttention(s).ForwardCtx(c, narrowInput(c, x))
+			return s.Forward(x), NewF32SelfAttention(s).ForwardBatchCtx(c, narrowInput(c, x), 1)
 		}},
 		{"mhsa", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			m := NewMultiHeadSelfAttention(16, 4, rand.New(rand.NewSource(3)))
-			return m.ForwardCtx(c, x), NewF32MultiHeadSelfAttention(m).ForwardCtx(c, narrowInput(c, x))
+			return m.Forward(x), NewF32MultiHeadSelfAttention(m).ForwardBatchCtx(c, narrowInput(c, x), 1)
 		}},
 		{"ffn", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			f := NewFFN(16, 32, rand.New(rand.NewSource(4)))
@@ -63,12 +63,12 @@ func TestF32LayersMatchFloat(t *testing.T) {
 		}},
 		{"transformer", 1e-3, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			tr := NewTransformerLayer(16, 4, rand.New(rand.NewSource(5)))
-			return tr.ForwardCtx(c, x), NewF32TransformerLayer(tr).ForwardCtx(c, narrowInput(c, x))
+			return tr.Forward(x), NewF32TransformerLayer(tr).ForwardBatchCtx(c, narrowInput(c, x), 1)
 		}},
 		{"mmaf", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			m := NewMMAF(16, 8, rand.New(rand.NewSource(6)))
 			xf := narrowInput(c, x)
-			return m.ForwardCtx2(c, x, x), NewF32MMAF(m).ForwardCtx2(c, xf, xf)
+			return m.Forward(x, x), NewF32MMAF(m).ForwardBatchCtx2(c, xf, xf, 1)
 		}},
 		{"mlp", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			m := NewMLP([]int{16, 24, 8}, rand.New(rand.NewSource(7)))
@@ -76,7 +76,7 @@ func TestF32LayersMatchFloat(t *testing.T) {
 		}},
 		{"lstm", 1e-4, func(c *tensor.Ctx) (*tensor.Tensor, *tensor.F32Tensor) {
 			l := NewLSTM(16, 12, rand.New(rand.NewSource(8)))
-			return l.ForwardCtx(c, x), NewF32LSTM(l).ForwardCtx(c, narrowInput(c, x))
+			return l.Forward(x), NewF32LSTM(l).ForwardBatchCtx(c, narrowInput(c, x), 1)
 		}},
 	}
 	for _, lt := range layers {
@@ -86,9 +86,8 @@ func TestF32LayersMatchFloat(t *testing.T) {
 	}
 }
 
-// The f32 LSTM's sequential forward and blocks=1 batched forward share the
-// cell-update structure, so they must agree bit for bit; a multi-block batch
-// must equal each sequence scored alone.
+// A multi-block f32 LSTM batch must equal each sequence scored alone (as a
+// one-block batch) bit for bit.
 func TestF32LSTMBatchMatchesSequential(t *testing.T) {
 	ctx := tensor.NewCtx()
 	l := NewF32LSTM(NewLSTM(10, 8, rand.New(rand.NewSource(9))))
@@ -99,7 +98,7 @@ func TestF32LSTMBatchMatchesSequential(t *testing.T) {
 	for blk := 0; blk < blocks; blk++ {
 		seq := ctx.ZerosF32(steps, 10)
 		copy(seq.Data, xf.Data[blk*steps*10:(blk+1)*steps*10])
-		solo := l.ForwardCtx(ctx, seq)
+		solo := l.ForwardBatchCtx(ctx, seq, 1)
 		for j := range solo.Data {
 			if math.Float32bits(solo.Data[j]) != math.Float32bits(batched.Data[blk*8+j]) {
 				t.Fatalf("block %d elem %d: solo %g != batched %g",

@@ -32,45 +32,52 @@ func wantClose(t *testing.T, name string, slow, fast *tensor.Tensor) {
 	}
 }
 
-// Every layer's ForwardCtx with a live arena must reproduce the autograd
-// Forward output: the fast path is a pure execution-strategy change.
+// stackForward runs an autograd forward on each of the `blocks` row blocks of
+// x and stacks the results — the reference a batched forward must match.
+func stackForward(x *tensor.Tensor, blocks int, f func(*tensor.Tensor) *tensor.Tensor) *tensor.Tensor {
+	t := x.Rows / blocks
+	outs := make([]*tensor.Tensor, blocks)
+	for b := range outs {
+		outs[b] = f(tensor.SliceRows(x, b*t, (b+1)*t))
+	}
+	return tensor.ConcatRows(outs...)
+}
+
+// Every layer's arena forward over a stacked batch must reproduce the
+// autograd Forward of each session block: the fast path is a pure
+// execution-strategy change.
 func TestForwardCtxMatchesForward(t *testing.T) {
 	ctx := tensor.NewCtx()
 	x := randInput(9, 16, 7)
+	const blocks = 3
 
+	lin := NewLinear(16, 12, rand.New(rand.NewSource(1)))
+	norm := NewLayerNorm(16)
+	att := NewSelfAttention(16, 8, rand.New(rand.NewSource(2)))
+	mhsa := NewMultiHeadSelfAttention(16, 4, rand.New(rand.NewSource(3)))
+	ffn := NewFFN(16, 32, rand.New(rand.NewSource(4)))
+	tr := NewTransformerLayer(16, 4, rand.New(rand.NewSource(5)))
+	mlp := NewMLP([]int{16, 24, 6}, rand.New(rand.NewSource(6)))
+	lstm := NewLSTM(16, 12, rand.New(rand.NewSource(8)))
 	layers := []struct {
 		name string
-		run  func(c *tensor.Ctx) *tensor.Tensor
+		slow func(*tensor.Tensor) *tensor.Tensor
+		fast func(*tensor.Ctx) *tensor.Tensor
 	}{
-		{"linear", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewLinear(16, 12, rand.New(rand.NewSource(1))).ForwardCtx(c, x)
-		}},
-		{"layernorm", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewLayerNorm(16).ForwardCtx(c, x)
-		}},
-		{"selfattention", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewSelfAttention(16, 8, rand.New(rand.NewSource(2))).ForwardCtx(c, x)
-		}},
-		{"mhsa", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewMultiHeadSelfAttention(16, 4, rand.New(rand.NewSource(3))).ForwardCtx(c, x)
-		}},
-		{"ffn", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewFFN(16, 32, rand.New(rand.NewSource(4))).ForwardCtx(c, x)
-		}},
-		{"transformer", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewTransformerLayer(16, 4, rand.New(rand.NewSource(5))).ForwardCtx(c, x)
-		}},
-		{"mlp", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewMLP([]int{16, 24, 6}, rand.New(rand.NewSource(6))).ForwardCtx(c, x)
-		}},
-		{"lstm", func(c *tensor.Ctx) *tensor.Tensor {
-			return NewLSTM(16, 12, rand.New(rand.NewSource(8))).ForwardCtx(c, x)
-		}},
+		{"linear", lin.Forward, func(c *tensor.Ctx) *tensor.Tensor { return lin.ForwardCtx(c, x) }},
+		{"linear-batch", lin.Forward, func(c *tensor.Ctx) *tensor.Tensor { return lin.ForwardBatchCtx(c, x) }},
+		{"layernorm", norm.Forward, func(c *tensor.Ctx) *tensor.Tensor { return norm.ForwardCtx(c, x) }},
+		{"selfattention", att.Forward, func(c *tensor.Ctx) *tensor.Tensor { return att.ForwardBatchCtx(c, x, blocks) }},
+		{"mhsa", mhsa.Forward, func(c *tensor.Ctx) *tensor.Tensor { return mhsa.ForwardBatchCtx(c, x, blocks) }},
+		{"ffn", ffn.Forward, func(c *tensor.Ctx) *tensor.Tensor { return ffn.ForwardCtx(c, x) }},
+		{"ffn-batch", ffn.Forward, func(c *tensor.Ctx) *tensor.Tensor { return ffn.ForwardBatchCtx(c, x) }},
+		{"transformer", tr.Forward, func(c *tensor.Ctx) *tensor.Tensor { return tr.ForwardBatchCtx(c, x, blocks) }},
+		{"mlp", mlp.Forward, func(c *tensor.Ctx) *tensor.Tensor { return mlp.ForwardCtx(c, x) }},
+		{"mlp-batch", mlp.Forward, func(c *tensor.Ctx) *tensor.Tensor { return mlp.ForwardBatchCtx(c, x) }},
+		{"lstm", lstm.Forward, func(c *tensor.Ctx) *tensor.Tensor { return lstm.ForwardBatchCtx(c, x, blocks) }},
 	}
 	for _, l := range layers {
-		slow := l.run(nil)
-		fast := l.run(ctx)
-		wantClose(t, l.name, slow, fast)
+		wantClose(t, l.name, stackForward(x, blocks, l.slow), l.fast(ctx))
 		ctx.Reset()
 	}
 }
@@ -86,10 +93,15 @@ func TestForwardCtxMatchesForwardComposite(t *testing.T) {
 
 	m := NewMMAF(16, 12, rand.New(rand.NewSource(10)))
 	a, b := randInput(9, 16, 11), randInput(9, 16, 12)
-	slow := m.Forward(a, b)
-	wantClose(t, "mmaf", slow, m.ForwardCtx(ctx, a, b))
+	wantClose(t, "mmaf", m.Forward(a, b), m.ForwardBatchCtx2(ctx, a, b, 1))
 	ctx.Reset()
-	wantClose(t, "mmaf2", slow, m.ForwardCtx2(ctx, a, b))
+	// Three stacked sessions of three rows per modality: block i fuses a's
+	// and b's block i.
+	var slow []*tensor.Tensor
+	for blk := 0; blk < 3; blk++ {
+		slow = append(slow, m.Forward(tensor.SliceRows(a, 3*blk, 3*blk+3), tensor.SliceRows(b, 3*blk, 3*blk+3)))
+	}
+	wantClose(t, "mmaf-batch", tensor.ConcatRows(slow...), m.ForwardBatchCtx2(ctx, a, b, 3))
 	ctx.Reset()
 
 	// Repeated forwards after Reset must keep producing the same values

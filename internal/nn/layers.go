@@ -118,19 +118,11 @@ func NewSelfAttention(in, dim int, rng *rand.Rand) *SelfAttention {
 
 // Forward attends over x [T x in] and returns [T x dim].
 func (s *SelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return s.ForwardCtx(nil, x)
-}
-
-// ForwardCtx attends over x on the ctx fast path (transpose-free scores,
-// in-place softmax when c is non-nil).
-//
-//mpgraph:noalloc
-func (s *SelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	q := s.Wq.ForwardCtx(c, x)
-	k := s.Wk.ForwardCtx(c, x)
-	v := s.Wv.ForwardCtx(c, x)
-	scores := c.MatMulNTScale(q, k, 1/math.Sqrt(float64(s.dim)))
-	return c.MatMul(c.SoftmaxRows(scores), v)
+	q := s.Wq.Forward(x)
+	k := s.Wk.Forward(x)
+	v := s.Wv.Forward(x)
+	scores := tensor.Scale(tensor.MatMul(q, tensor.Transpose(k)), 1/math.Sqrt(float64(s.dim)))
+	return tensor.MatMul(tensor.SoftmaxRows(scores), v)
 }
 
 // Params implements Module.
@@ -157,18 +149,11 @@ func NewMultiHeadSelfAttention(dim, heads int, rng *rand.Rand) *MultiHeadSelfAtt
 
 // Forward attends over x [T x dim] and returns [T x dim].
 func (m *MultiHeadSelfAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return m.ForwardCtx(nil, x)
-}
-
-// ForwardCtx attends over x on the ctx fast path.
-//
-//mpgraph:noalloc
-func (m *MultiHeadSelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	outs := c.Ptrs(len(m.Heads))
+	outs := make([]*tensor.Tensor, len(m.Heads))
 	for i, h := range m.Heads {
-		outs[i] = h.ForwardCtx(c, x)
+		outs[i] = h.Forward(x)
 	}
-	return m.Wo.ForwardCtx(c, c.ConcatCols(outs...))
+	return m.Wo.Forward(tensor.ConcatCols(outs...))
 }
 
 // Params implements Module.
@@ -228,15 +213,8 @@ func NewTransformerLayer(dim, heads int, rng *rand.Rand) *TransformerLayer {
 
 // Forward applies the layer to x [T x dim].
 func (t *TransformerLayer) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return t.ForwardCtx(nil, x)
-}
-
-// ForwardCtx applies the layer on the ctx fast path.
-//
-//mpgraph:noalloc
-func (t *TransformerLayer) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	x = t.N1.ForwardCtx(c, c.Add(x, t.MSA.ForwardCtx(c, x)))
-	return t.N2.ForwardCtx(c, c.Add(x, t.FF.ForwardCtx(c, x)))
+	x = t.N1.Forward(tensor.Add(x, t.MSA.Forward(x)))
+	return t.N2.Forward(tensor.Add(x, t.FF.Forward(x)))
 }
 
 // Params implements Module.
@@ -257,22 +235,7 @@ func NewMMAF(in, dim int, rng *rand.Rand) *MMAF {
 // Forward fuses the modality sequences (each [Ti x in]) into
 // [ΣTi x dim].
 func (m *MMAF) Forward(modalities ...*tensor.Tensor) *tensor.Tensor {
-	return m.ForwardCtx(nil, modalities...)
-}
-
-// ForwardCtx fuses the modality sequences on the ctx fast path.
-//
-//mpgraph:noalloc
-func (m *MMAF) ForwardCtx(c *tensor.Ctx, modalities ...*tensor.Tensor) *tensor.Tensor {
-	return m.Attn.ForwardCtx(c, c.ConcatRows(modalities...))
-}
-
-// ForwardCtx2 fuses exactly two modality sequences — the AMMA hot path —
-// avoiding the escaping variadic slice a ForwardCtx call site would build.
-//
-//mpgraph:noalloc
-func (m *MMAF) ForwardCtx2(c *tensor.Ctx, a, b *tensor.Tensor) *tensor.Tensor {
-	return m.Attn.ForwardCtx(c, c.ConcatRows2(a, b))
+	return m.Attn.Forward(tensor.ConcatRows(modalities...))
 }
 
 // Params implements Module.

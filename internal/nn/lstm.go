@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"mpgraph/internal/tensor"
@@ -40,45 +39,19 @@ func NewLSTM(in, hidden int, rng *rand.Rand) *LSTM {
 // Forward consumes the sequence x [T x in] one row at a time and returns
 // the final hidden state [1 x hidden].
 func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return l.ForwardCtx(nil, x)
-}
-
-// ForwardCtx is Forward on the ctx fast path: each gate is one fused
-// input+recurrent GEMM with the nonlinearity in the epilogue, and the cell
-// and hidden updates are a single in-place loop over the state vectors.
-//
-//mpgraph:noalloc
-func (l *LSTM) ForwardCtx(ctx *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	if ctx == nil {
-		h := tensor.Zeros(1, l.Hidden)
-		c := tensor.Zeros(1, l.Hidden)
-		for t := 0; t < x.Rows; t++ {
-			xt := tensor.SliceRows(x, t, t+1)
-			gate := func(wx, wh, b *tensor.Tensor) *tensor.Tensor {
-				return tensor.AddBias(tensor.Add(tensor.MatMul(xt, wx), tensor.MatMul(h, wh)), b)
-			}
-			i := tensor.Sigmoid(gate(l.Wxi, l.Whi, l.Bi))
-			f := tensor.Sigmoid(gate(l.Wxf, l.Whf, l.Bf))
-			g := tensor.Tanh(gate(l.Wxg, l.Whg, l.Bg))
-			o := tensor.Sigmoid(gate(l.Wxo, l.Who, l.Bo))
-			c = tensor.Add(tensor.Mul(f, c), tensor.Mul(i, g))
-			h = tensor.Mul(o, tensor.Tanh(c))
-		}
-		return h
-	}
-	h := ctx.Zeros(1, l.Hidden)
-	c := ctx.Zeros(1, l.Hidden)
+	h := tensor.Zeros(1, l.Hidden)
+	c := tensor.Zeros(1, l.Hidden)
 	for t := 0; t < x.Rows; t++ {
-		xt := ctx.RowView(x, t)
-		i := ctx.Linear2Act(xt, l.Wxi, h, l.Whi, l.Bi, tensor.ActSigmoid)
-		f := ctx.Linear2Act(xt, l.Wxf, h, l.Whf, l.Bf, tensor.ActSigmoid)
-		g := ctx.Linear2Act(xt, l.Wxg, h, l.Whg, l.Bg, tensor.ActTanh)
-		o := ctx.Linear2Act(xt, l.Wxo, h, l.Who, l.Bo, tensor.ActSigmoid)
-		for j := range c.Data {
-			cv := f.Data[j]*c.Data[j] + i.Data[j]*g.Data[j]
-			c.Data[j] = cv
-			h.Data[j] = o.Data[j] * math.Tanh(cv)
+		xt := tensor.SliceRows(x, t, t+1)
+		gate := func(wx, wh, b *tensor.Tensor) *tensor.Tensor {
+			return tensor.AddBias(tensor.Add(tensor.MatMul(xt, wx), tensor.MatMul(h, wh)), b)
 		}
+		i := tensor.Sigmoid(gate(l.Wxi, l.Whi, l.Bi))
+		f := tensor.Sigmoid(gate(l.Wxf, l.Whf, l.Bf))
+		g := tensor.Tanh(gate(l.Wxg, l.Whg, l.Bg))
+		o := tensor.Sigmoid(gate(l.Wxo, l.Who, l.Bo))
+		c = tensor.Add(tensor.Mul(f, c), tensor.Mul(i, g))
+		h = tensor.Mul(o, tensor.Tanh(c))
 	}
 	return h
 }

@@ -1,6 +1,6 @@
 package nn
 
-// Int8 mirrors of the ForwardCtx layer set (DESIGN.md §10). Each Q-layer is
+// Int8 mirrors of the inference layer set (DESIGN.md §10). Each Q-layer is
 // built from a trained float layer and starts in CALIBRATION mode: forwards
 // delegate to the float layer while an Observer records the input range, so
 // downstream observers see true float activations. Freeze() locks the
@@ -8,6 +8,13 @@ package nn
 // Matrix weights are quantized (per-output-channel symmetric int8); biases,
 // LayerNorm and softmax stay float — they are O(dim) work on O(dim²)
 // layers and keeping them exact costs nothing.
+//
+// Inputs are stacked [blocks*T x d] activation blocks, one session per
+// block of rows. The quantized per-row kernels (QuantizeActs, QLinearActQ,
+// QMLP) are batch-oblivious: each output row is an exact int32 dot of its
+// own quantized activation row. Only attention must know the session
+// boundary, and it runs AttentionBlocks in exact mode, so int8 results are
+// bit-identical at any batch size.
 
 import (
 	"math"
@@ -110,20 +117,20 @@ func NewQSelfAttention(s *SelfAttention) *QSelfAttention {
 	}
 }
 
-// ForwardCtx attends over x.
+// ForwardBatchCtx attends independently inside each session block of the
+// stacked sequence through the int8 projection kernels.
 //
 //mpgraph:noalloc
-func (s *QSelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
+func (s *QSelfAttention) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
 	if s.src != nil {
 		s.in.Observe(x.Data)
-		return s.src.ForwardCtx(c, x)
+		return s.src.ForwardBatchCtx(c, x, blocks)
 	}
 	xq := c.QuantizeActs(x, s.scale)
 	q := c.QLinearActQ(xq, x.Rows, s.scale, s.Wq, s.bq, tensor.ActNone)
 	k := c.QLinearActQ(xq, x.Rows, s.scale, s.Wk, s.bk, tensor.ActNone)
 	v := c.QLinearActQ(xq, x.Rows, s.scale, s.Wv, s.bv, tensor.ActNone)
-	scores := c.MatMulNTScale(q, k, 1/math.Sqrt(float64(s.dim)))
-	return c.MatMul(c.SoftmaxRows(scores), v)
+	return c.AttentionBlocks(q, k, v, blocks, 1/math.Sqrt(float64(s.dim)), true)
 }
 
 // Freeze locks the calibrated activation scale and switches to int8.
@@ -147,13 +154,14 @@ func NewQMultiHeadSelfAttention(m *MultiHeadSelfAttention) *QMultiHeadSelfAttent
 	return q
 }
 
-// ForwardCtx attends over x with every head and reprojects.
+// ForwardBatchCtx runs every int8 head over the stacked block and
+// reprojects through the (batch-oblivious) int8 output projection.
 //
 //mpgraph:noalloc
-func (m *QMultiHeadSelfAttention) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
+func (m *QMultiHeadSelfAttention) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
 	outs := c.Ptrs(len(m.Heads))
 	for i, h := range m.Heads {
-		outs[i] = h.ForwardCtx(c, x)
+		outs[i] = h.ForwardBatchCtx(c, x, blocks)
 	}
 	return m.Wo.ForwardCtx(c, c.ConcatCols(outs...))
 }
@@ -206,11 +214,12 @@ func NewQTransformerLayer(t *TransformerLayer) *QTransformerLayer {
 	}
 }
 
-// ForwardCtx applies the layer with residuals and float layer norms.
+// ForwardBatchCtx applies the int8 layer to the stacked block; residuals and
+// the shared float layer norms are row-wise and need no batch form.
 //
 //mpgraph:noalloc
-func (t *QTransformerLayer) ForwardCtx(c *tensor.Ctx, x *tensor.Tensor) *tensor.Tensor {
-	x = t.n1.ForwardCtx(c, c.Add(x, t.MSA.ForwardCtx(c, x)))
+func (t *QTransformerLayer) ForwardBatchCtx(c *tensor.Ctx, x *tensor.Tensor, blocks int) *tensor.Tensor {
+	x = t.n1.ForwardCtx(c, c.Add(x, t.MSA.ForwardBatchCtx(c, x, blocks)))
 	return t.n2.ForwardCtx(c, c.Add(x, t.FF.ForwardCtx(c, x)))
 }
 
@@ -228,11 +237,12 @@ type QMMAF struct {
 // NewQMMAF mirrors the fusion attention.
 func NewQMMAF(m *MMAF) *QMMAF { return &QMMAF{Attn: NewQSelfAttention(m.Attn)} }
 
-// ForwardCtx2 fuses exactly two modality sequences — the AMMA hot path.
+// ForwardBatchCtx2 fuses two stacked modality sequences block by block
+// through the int8 fusion attention.
 //
 //mpgraph:noalloc
-func (m *QMMAF) ForwardCtx2(c *tensor.Ctx, a, b *tensor.Tensor) *tensor.Tensor {
-	return m.Attn.ForwardCtx(c, c.ConcatRows2(a, b))
+func (m *QMMAF) ForwardBatchCtx2(c *tensor.Ctx, a, b *tensor.Tensor, blocks int) *tensor.Tensor {
+	return m.Attn.ForwardBatchCtx(c, c.ConcatRowsBatch2(a, b, blocks), blocks)
 }
 
 // Freeze freezes the fusion attention.

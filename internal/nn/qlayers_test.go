@@ -75,13 +75,13 @@ func TestQSelfAttentionFrozenTracksFloat(t *testing.T) {
 	q := NewQSelfAttention(s)
 	ctx := tensor.NewCtx()
 	for _, x := range calibInputs(6, 16, 16, rng) {
-		q.ForwardCtx(ctx, x)
+		q.ForwardBatchCtx(ctx, x, 1)
 		ctx.Reset()
 	}
 	q.Freeze()
 	x := tensor.Randn(6, 16, 1, rng)
-	got := q.ForwardCtx(ctx, x)
-	want := s.ForwardCtx(ctx, x)
+	got := q.ForwardBatchCtx(ctx, x, 1)
+	want := s.Forward(x)
 	if e := maxRelErr(got, want); e > 0.05 {
 		t.Fatalf("frozen QSelfAttention rel error %g > 0.05", e)
 	}
@@ -93,13 +93,13 @@ func TestQTransformerLayerFrozenTracksFloat(t *testing.T) {
 	q := NewQTransformerLayer(tl)
 	ctx := tensor.NewCtx()
 	for _, x := range calibInputs(5, 16, 16, rng) {
-		q.ForwardCtx(ctx, x)
+		q.ForwardBatchCtx(ctx, x, 1)
 		ctx.Reset()
 	}
 	q.Freeze()
 	x := tensor.Randn(5, 16, 1, rng)
-	got := q.ForwardCtx(ctx, x)
-	want := tl.ForwardCtx(ctx, x)
+	got := q.ForwardBatchCtx(ctx, x, 1)
+	want := tl.Forward(x)
 	// LayerNorm renormalises, so int8 projection noise stays bounded.
 	if e := maxRelErr(got, want); e > 0.15 {
 		t.Fatalf("frozen QTransformerLayer rel error %g > 0.15", e)
@@ -132,14 +132,14 @@ func TestQMMAFFrozenTracksFloat(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		a := tensor.Randn(3, 16, 1, rng)
 		b := tensor.Randn(4, 16, 1, rng)
-		q.ForwardCtx2(ctx, a, b)
+		q.ForwardBatchCtx2(ctx, a, b, 1)
 		ctx.Reset()
 	}
 	q.Freeze()
 	a := tensor.Randn(3, 16, 1, rng)
 	b := tensor.Randn(4, 16, 1, rng)
-	got := q.ForwardCtx2(ctx, a, b)
-	want := m.ForwardCtx2(ctx, a, b)
+	got := q.ForwardBatchCtx2(ctx, a, b, 1)
+	want := m.Forward(a, b)
 	if e := maxRelErr(got, want); e > 0.05 {
 		t.Fatalf("frozen QMMAF rel error %g > 0.05", e)
 	}

@@ -115,9 +115,9 @@ func TestBatchUnjoinedSessionFlushesImmediately(t *testing.T) {
 }
 
 // TestBatchMatchesUnbatchedPrefetches: the batch tier must agree with the
-// in-process fast path on the decoded prefetch targets (both decode the same
-// model through kernels equal to 1e-9, and top-k decisions on these trained
-// models are stable at that tolerance).
+// in-process fast path on the decoded prefetch targets (both run the same
+// batch kernels, one at batch 8 and one at batch 1, which give identical
+// bits).
 func TestBatchMatchesUnbatchedPrefetches(t *testing.T) {
 	ds, delta, page := tinyTrainedModels(t)
 	T := ds.Cfg.HistoryT

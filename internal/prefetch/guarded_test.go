@@ -160,9 +160,19 @@ func TestGuardedLatencyCyclesFollowServing(t *testing.T) {
 // screening, flip its Health, and be quarantined by the wrapper — while the
 // BO fallback keeps serving prefetches.
 func TestGuardedDegradesOnNaNModel(t *testing.T) {
+	guardedNaNModelDegrades(t, MLOptions{Degree: 6})
+}
+
+// The batch scheduler runs the vectorized activations, which must carry a
+// NaN logit through to the health screen rather than clamp it.
+func TestGuardedDegradesOnNaNModelBatched(t *testing.T) {
+	guardedNaNModelDegrades(t, MLOptions{Degree: 6, Scheduler: NewBatchScheduler(2)})
+}
+
+func guardedNaNModelDegrades(t *testing.T, opt MLOptions) {
 	ds, delta, _ := tinyTrainedModels(t)
 	T := ds.Cfg.HistoryT
-	primary := NewDeltaLSTM(delta, T, MLOptions{Degree: 6})
+	primary := NewDeltaLSTM(delta, T, opt)
 	events := &resilience.Log{}
 	g := NewGuarded(primary, NewBO(DefaultBOConfig()), GuardConfig{MaxViolations: 3}, events)
 

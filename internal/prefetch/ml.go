@@ -278,7 +278,7 @@ func (p *Voyager) Operate(acc sim.LLCAccess) []uint64 {
 // predicted page. Screening failures are recorded as the prefetcher's first
 // health defect. With a batch session, both models route through the shared
 // scheduler; the delta score vector is computed once and decoded at both
-// bases (the sequential path computes it twice with identical results).
+// bases (the in-process path computes it twice with identical results).
 func (p *Voyager) predict(c *tensor.Ctx, s *models.Sample, block uint64, out []uint64) []uint64 {
 	if p.sess != nil {
 		return p.predictBatch(s, block, out)

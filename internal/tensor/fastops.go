@@ -26,21 +26,6 @@ func (c *Ctx) Zeros(rows, cols int) *Tensor {
 	return c.zeros(rows, cols)
 }
 
-// MatMul returns a@b.
-//
-//mpgraph:noalloc
-func (c *Ctx) MatMul(a, b *Tensor) *Tensor {
-	if c == nil {
-		return MatMul(a, b)
-	}
-	if a.Cols != b.Rows {
-		invariant.Failf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := c.zeros(a.Rows, b.Cols)
-	gemm(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
-	return out
-}
-
 // Add returns a+b elementwise.
 //
 //mpgraph:noalloc
@@ -54,40 +39,6 @@ func (c *Ctx) Add(a, b *Tensor) *Tensor {
 		out.Data[i] = av + b.Data[i]
 	}
 	return out
-}
-
-// AddBias adds row vector bias [1 x n] to every row of a.
-//
-//mpgraph:noalloc
-func (c *Ctx) AddBias(a, bias *Tensor) *Tensor {
-	if c == nil {
-		return AddBias(a, bias)
-	}
-	if bias.Rows != 1 || bias.Cols != a.Cols {
-		invariant.Failf("tensor: addbias %dx%d + %dx%d", a.Rows, a.Cols, bias.Rows, bias.Cols)
-	}
-	out := c.uninit(a.Rows, a.Cols)
-	for r := 0; r < a.Rows; r++ {
-		base := r * a.Cols
-		for j, bv := range bias.Data {
-			out.Data[base+j] = a.Data[base+j] + bv
-		}
-	}
-	return out
-}
-
-// SoftmaxRows applies row-wise softmax. The fast path runs in place and
-// returns its input; callers must not reuse the pre-softmax values.
-//
-//mpgraph:noalloc
-func (c *Ctx) SoftmaxRows(a *Tensor) *Tensor {
-	if c == nil {
-		return SoftmaxRows(a)
-	}
-	for r := 0; r < a.Rows; r++ {
-		softmaxInPlace(a.Data[r*a.Cols : (r+1)*a.Cols])
-	}
-	return a
 }
 
 // softmaxInPlace applies a numerically-stable softmax to one row.
@@ -123,47 +74,6 @@ func (c *Ctx) SigmoidInPlace(a *Tensor) *Tensor {
 	return a
 }
 
-// RowView returns row r of a as a 1 x Cols tensor. The fast path is a
-// zero-copy view sharing a's data.
-//
-//mpgraph:noalloc
-func (c *Ctx) RowView(a *Tensor, r int) *Tensor {
-	if c == nil {
-		return SliceRows(a, r, r+1)
-	}
-	if r < 0 || r >= a.Rows {
-		invariant.Failf("tensor: RowView %d of %d rows", r, a.Rows)
-	}
-	return c.view(1, a.Cols, a.Data[r*a.Cols:(r+1)*a.Cols])
-}
-
-// ConcatRows stacks tensors vertically (same Cols).
-//
-//mpgraph:noalloc
-func (c *Ctx) ConcatRows(ts ...*Tensor) *Tensor {
-	if c == nil {
-		return ConcatRows(ts...)
-	}
-	if len(ts) == 0 {
-		invariant.Fail("tensor: ConcatRows of nothing")
-	}
-	cols := ts[0].Cols
-	rows := 0
-	for _, t := range ts {
-		if t.Cols != cols {
-			invariant.Fail("tensor: ConcatRows column mismatch")
-		}
-		rows += t.Rows
-	}
-	out := c.uninit(rows, cols)
-	off := 0
-	for _, t := range ts {
-		copy(out.Data[off:], t.Data)
-		off += len(t.Data)
-	}
-	return out
-}
-
 // ConcatCols stacks tensors horizontally (same Rows).
 //
 //mpgraph:noalloc
@@ -193,24 +103,6 @@ func (c *Ctx) ConcatCols(ts ...*Tensor) *Tensor {
 	return out
 }
 
-// ConcatRows2 is ConcatRows for exactly two tensors — the arity the models'
-// hot paths use. A variadic call site builds an escaping []*Tensor on the
-// heap; the fixed-arity form keeps steady-state inference allocation-free.
-//
-//mpgraph:noalloc
-func (c *Ctx) ConcatRows2(a, b *Tensor) *Tensor {
-	if c == nil {
-		return ConcatRows(a, b)
-	}
-	if a.Cols != b.Cols {
-		invariant.Fail("tensor: ConcatRows column mismatch")
-	}
-	out := c.uninit(a.Rows+b.Rows, a.Cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
 // ConcatCols2 is ConcatCols for exactly two tensors (see ConcatRows2).
 //
 //mpgraph:noalloc
@@ -226,24 +118,6 @@ func (c *Ctx) ConcatCols2(a, b *Tensor) *Tensor {
 	for r := 0; r < rows; r++ {
 		copy(out.Data[r*cols:], a.Data[r*a.Cols:(r+1)*a.Cols])
 		copy(out.Data[r*cols+a.Cols:], b.Data[r*b.Cols:(r+1)*b.Cols])
-	}
-	return out
-}
-
-// MeanRows returns the column-wise mean as a 1 x Cols tensor.
-//
-//mpgraph:noalloc
-func (c *Ctx) MeanRows(a *Tensor) *Tensor {
-	if c == nil {
-		return MeanRows(a)
-	}
-	out := c.zeros(1, a.Cols)
-	inv := 1.0 / float64(a.Rows)
-	for r := 0; r < a.Rows; r++ {
-		base := r * a.Cols
-		for j := range out.Data {
-			out.Data[j] += a.Data[base+j] * inv
-		}
 	}
 	return out
 }
@@ -290,48 +164,6 @@ func (c *Ctx) LinearAct(x, w, bias *Tensor, act Act) *Tensor {
 		bd = bias.Data
 	}
 	gemmBiasAct(out.Data, x.Data, w.Data, bd, x.Rows, x.Cols, w.Cols, act)
-	return out
-}
-
-// Linear2Act returns act(x1@w1 + x2@w2 + bias) as one fused kernel — the
-// LSTM gate composition (input product plus recurrent product).
-//
-//mpgraph:noalloc
-func (c *Ctx) Linear2Act(x1, w1, x2, w2, bias *Tensor, act Act) *Tensor {
-	if c == nil {
-		out := Add(MatMul(x1, w1), MatMul(x2, w2))
-		if bias != nil {
-			out = AddBias(out, bias)
-		}
-		return applyActGraph(out, act)
-	}
-	if x1.Cols != w1.Rows || x2.Cols != w2.Rows || x1.Rows != x2.Rows || w1.Cols != w2.Cols {
-		invariant.Failf("tensor: linear2 %dx%d@%dx%d + %dx%d@%dx%d",
-			x1.Rows, x1.Cols, w1.Rows, w1.Cols, x2.Rows, x2.Cols, w2.Rows, w2.Cols)
-	}
-	out := c.uninit(x1.Rows, w1.Cols)
-	var bd []float64
-	if bias != nil {
-		bd = bias.Data
-	}
-	gemm2BiasAct(out.Data, x1.Data, w1.Data, x2.Data, w2.Data, bd,
-		x1.Rows, x1.Cols, x2.Cols, w1.Cols, act)
-	return out
-}
-
-// MatMulNTScale returns (a@b^T)·s — attention scores QKᵀ/√d without
-// materialising the transpose.
-//
-//mpgraph:noalloc
-func (c *Ctx) MatMulNTScale(a, b *Tensor, s float64) *Tensor {
-	if c == nil {
-		return Scale(MatMul(a, Transpose(b)), s)
-	}
-	if a.Cols != b.Cols {
-		invariant.Failf("tensor: matmulNT %dx%d @ (%dx%d)^T", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := c.uninit(a.Rows, b.Rows)
-	gemmNTScale(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Rows, s)
 	return out
 }
 

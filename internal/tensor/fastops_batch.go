@@ -4,11 +4,11 @@ import "mpgraph/internal/invariant"
 
 // Batch-aware arena ops. A "stacked" tensor holds one session per block of
 // rows: [blocks*T x d] in session-major order. Row-wise ops (Linear,
-// LayerNorm, AddBias, the int8 kernels) are batch-oblivious and run on the
+// LayerNorm, Add, the int8 kernels) are batch-oblivious and run on the
 // stacked tensor unchanged; the ops below are the ones that must know the
-// block boundary. Each computes every block with the exact per-element
-// operation sequence of its sequential counterpart, so a block's result
-// never depends on batch composition.
+// block boundary. Each computes every block with one fixed per-element
+// operation sequence, so a block's result never depends on batch
+// composition.
 
 // LinearActBatch is LinearAct through the batched panel kernels: one weight
 // pass for all rows of the stacked block.
@@ -33,13 +33,14 @@ func (c *Ctx) LinearActBatch(x, w, bias *Tensor, act Act) *Tensor {
 	return out
 }
 
-// Linear2ActBatch is Linear2Act through the batched panel kernels (the LSTM
-// gate composition at m stacked rows).
+// Linear2ActBatch returns act(x1@w1 + x2@w2 + bias) through the batched
+// panel kernels — the LSTM gate composition (input product plus recurrent
+// product) at m stacked rows. Like the other block ops it needs a live ctx.
 //
 //mpgraph:noalloc
 func (c *Ctx) Linear2ActBatch(x1, w1, x2, w2, bias *Tensor, act Act) *Tensor {
 	if c == nil {
-		return c.Linear2Act(x1, w1, x2, w2, bias, act)
+		invariant.Fail("tensor: Linear2ActBatch needs a ctx")
 	}
 	if x1.Cols != w1.Rows || x2.Cols != w2.Rows || x1.Rows != x2.Rows || w1.Cols != w2.Cols {
 		invariant.Failf("tensor: linear2Batch %dx%d@%dx%d + %dx%d@%dx%d",
@@ -57,9 +58,8 @@ func (c *Ctx) Linear2ActBatch(x1, w1, x2, w2, bias *Tensor, act Act) *Tensor {
 
 // AttentionBlocks runs scaled-dot-product attention independently inside
 // each of the `blocks` equal row blocks of q/k/v (self-attention never
-// crosses a session boundary). exact selects the sequential math kernels
-// (softmaxInPlace + accumulate-gemm) for paths that must stay bit-identical
-// to per-session inference — the int8 models use it; the float batch tier
+// crosses a session boundary). exact selects the math-package softmax and
+// the scalar accumulate-gemm — the int8 models use it; the float tier
 // passes false and takes the vectorized exp and FMA AV product.
 //
 //mpgraph:noalloc
@@ -211,8 +211,8 @@ func (c *Ctx) GatherRowsStride(a *Tensor, first, stride, count int) *Tensor {
 	return out
 }
 
-// SigmoidInPlaceFast is SigmoidInPlace through the vector kernel; sequential
-// callers keep the exact SigmoidInPlace.
+// SigmoidInPlaceFast is SigmoidInPlace through the vector kernel; the int8
+// tier keeps the exact SigmoidInPlace.
 //
 //mpgraph:noalloc
 func (c *Ctx) SigmoidInPlaceFast(a *Tensor) *Tensor {

@@ -15,8 +15,7 @@ import (
 // Every op routes through the batched panel kernels, which dispatch to the
 // AVX-512F tier when available and the exact scalar f32 kernels otherwise.
 // Each output row is a pure function of its own input row with a fixed
-// per-row operation sequence, so sequential (one-sample) and batched f32
-// inference are bit-identical and batch composition never changes bits.
+// per-row operation sequence, so batch composition never changes bits.
 
 // requireCtx guards the f32 tier's non-nil ctx contract.
 //
@@ -74,77 +73,6 @@ func (c *Ctx) AddF32(a, b *F32Tensor) *F32Tensor {
 	out := c.uninitF32(a.Rows, a.Cols)
 	for i, av := range a.Data {
 		out.Data[i] = av + b.Data[i]
-	}
-	return out
-}
-
-// AddBiasF32 broadcasts the [1 x d] bias row over every row of a.
-//
-//mpgraph:noalloc
-func (c *Ctx) AddBiasF32(a, bias *F32Tensor) *F32Tensor {
-	requireCtx(c, "AddBiasF32")
-	if bias.Rows != 1 || bias.Cols != a.Cols {
-		invariant.Failf("tensor: addBiasF32 %dx%d + %dx%d", a.Rows, a.Cols, bias.Rows, bias.Cols)
-	}
-	out := c.uninitF32(a.Rows, a.Cols)
-	for r := 0; r < a.Rows; r++ {
-		arow := a.Data[r*a.Cols : (r+1)*a.Cols]
-		orow := out.Data[r*a.Cols : (r+1)*a.Cols]
-		for j, av := range arow {
-			orow[j] = av + bias.Data[j]
-		}
-	}
-	return out
-}
-
-// MeanRowsF32 reduces a to its column means [1 x d] — the blocks=1 case of
-// MeanRowsBatchF32.
-//
-//mpgraph:noalloc
-func (c *Ctx) MeanRowsF32(a *F32Tensor) *F32Tensor {
-	requireCtx(c, "MeanRowsF32")
-	return c.MeanRowsBatchF32(a, 1)
-}
-
-// RowViewF32 returns row r of a as a zero-copy 1 x Cols view.
-//
-//mpgraph:noalloc
-func (c *Ctx) RowViewF32(a *F32Tensor, r int) *F32Tensor {
-	requireCtx(c, "RowViewF32")
-	if r < 0 || r >= a.Rows {
-		invariant.Failf("tensor: RowViewF32 %d of %d rows", r, a.Rows)
-	}
-	return c.viewF32(1, a.Cols, a.Data[r*a.Cols:(r+1)*a.Cols])
-}
-
-// ConcatRows2F32 stacks two tensors vertically (fixed arity keeps the hot
-// path free of escaping slices, as ConcatRows2).
-//
-//mpgraph:noalloc
-func (c *Ctx) ConcatRows2F32(a, b *F32Tensor) *F32Tensor {
-	requireCtx(c, "ConcatRows2F32")
-	if a.Cols != b.Cols {
-		invariant.Fail("tensor: ConcatRows2F32 column mismatch")
-	}
-	out := c.uninitF32(a.Rows+b.Rows, a.Cols)
-	copy(out.Data, a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
-}
-
-// ConcatCols2F32 stacks two tensors horizontally.
-//
-//mpgraph:noalloc
-func (c *Ctx) ConcatCols2F32(a, b *F32Tensor) *F32Tensor {
-	requireCtx(c, "ConcatCols2F32")
-	if a.Rows != b.Rows {
-		invariant.Fail("tensor: ConcatCols2F32 row mismatch")
-	}
-	rows, cols := a.Rows, a.Cols+b.Cols
-	out := c.uninitF32(rows, cols)
-	for r := 0; r < rows; r++ {
-		copy(out.Data[r*cols:], a.Data[r*a.Cols:(r+1)*a.Cols])
-		copy(out.Data[r*cols+a.Cols:], b.Data[r*b.Cols:(r+1)*b.Cols])
 	}
 	return out
 }
@@ -233,17 +161,6 @@ func (c *Ctx) Linear2ActF32(x1, w1, x2, w2, bias *F32Tensor, act Act) *F32Tensor
 	gemm2BatchBiasActF32(out.Data, x1.Data, w1.Data, x2.Data, w2.Data, bd,
 		x1.Rows, x1.Cols, x2.Cols, w1.Cols, act)
 	return out
-}
-
-// SoftmaxRowsF32 applies row-wise softmax in place and returns its input.
-//
-//mpgraph:noalloc
-func (c *Ctx) SoftmaxRowsF32(a *F32Tensor) *F32Tensor {
-	requireCtx(c, "SoftmaxRowsF32")
-	for r := 0; r < a.Rows; r++ {
-		softmaxInPlaceFastF32(a.Data[r*a.Cols : (r+1)*a.Cols])
-	}
-	return a
 }
 
 // SigmoidInPlaceF32 applies the logistic function in place.

@@ -1,11 +1,10 @@
 package tensor
 
 // Batched-GEMM tier: one weight panel multiplied against an N-row stacked
-// activation block. The sequential fast path (gemmBiasAct and friends) keeps
-// its scalar register-blocked kernels untouched; the batch entry points below
-// route through the AVX-512F panel kernels when available and fall back to
-// the exact scalar kernels otherwise, so non-amd64 builds stay bit-identical
-// to sequential inference.
+// activation block — every float64 inference, a single prediction being the
+// N = HistoryT case. The entry points below route through the AVX-512F panel
+// kernels when available and fall back to the exact scalar register-blocked
+// kernels (gemmBiasAct and friends) otherwise.
 //
 // Determinism contract: every batch kernel computes output row r as a pure
 // function of activation row r with a fixed per-row operation sequence that
@@ -14,7 +13,7 @@ package tensor
 // byte-identical for any batch size and worker count.
 
 // initRowsBias seeds each of the m output rows with bias (or zeros), killing
-// the per-row memclr+add the sequential path pays.
+// the per-row memclr+add the scalar kernels pay.
 //
 //mpgraph:noalloc
 func initRowsBias(out, bias []float64, m, n int) {
@@ -88,7 +87,7 @@ func gemmBatch(out, a, b []float64, m, k, n int) {
 // per-row kernels (scalar/SWAR/VNNI) are already batch-oblivious — each
 // output row is an exact int32 dot of its own quantized activation row — so
 // the batched tier is the same kernel at m stacked rows, and batch output is
-// bit-identical to m sequential calls by construction.
+// bit-identical to m single-row calls by construction.
 //
 //mpgraph:noalloc
 func (c *Ctx) qgemmBatch(out []float64, xq []int8, q *QTensor, m int, sx float64, bias []float64, act Act) {

@@ -276,8 +276,12 @@ vlanes:
 
 presig:
 	// sigmoid(x) = 1/(1+exp(-x)); clamp |x| to 40 so exp stays finite.
-	VMINPD Z20, Z0, Z0
-	VMAXPD Z19, Z0, Z0
+	// Every clamp passes x as the second source (Intel order; Go lists it
+	// first): MIN/MAX return the second source when either operand is NaN,
+	// so a NaN x propagates to the output, where ScreenScores catches it,
+	// instead of clamping to a finite score.
+	VMINPD Z0, Z20, Z0
+	VMAXPD Z0, Z19, Z0
 	VPXORQ Z5, Z5, Z5
 	VSUBPD Z0, Z5, Z0
 	JMP    expblk
@@ -285,12 +289,12 @@ presig:
 pretanh:
 	// tanh(x) = 1 - 2/(exp(2x)+1); clamp 2x to 40 so extremes saturate to +-1.
 	VADDPD Z0, Z0, Z0
-	VMINPD Z20, Z0, Z0
-	VMAXPD Z19, Z0, Z0
+	VMINPD Z0, Z20, Z0
+	VMAXPD Z0, Z19, Z0
 
 expblk:
-	VMINPD       Z13, Z0, Z0
-	VMAXPD       Z12, Z0, Z0
+	VMINPD       Z0, Z13, Z0
+	VMAXPD       Z0, Z12, Z0
 	VMULPD       Z16, Z0, Z1
 	VRNDSCALEPD  $0, Z1, Z1
 	VMOVAPD      Z0, Z2

@@ -5,11 +5,6 @@ package tensor
 // available, fall back to the exact scalar f32 kernels otherwise, and keep
 // every output row a pure function of its own activation row so batch
 // composition never changes bits.
-//
-// Unlike the f64 tier — whose sequential path predates batching and keeps
-// its own scalar kernels — the f32 tier is new, so sequential f32 inference
-// uses these same entry points at m = HistoryT-sized row counts and the
-// vector tier accelerates both.
 
 // initRowsBiasF32 seeds each of the m output rows with bias (or zeros).
 //

@@ -5,7 +5,7 @@ package tensor
 import "mpgraph/internal/invariant"
 
 // useAVX512F is always false off amd64: the batch tier delegates to the
-// exact scalar kernels, so batched and sequential results match bit for bit.
+// exact scalar kernels.
 var useAVX512F = false
 
 //mpgraph:noalloc

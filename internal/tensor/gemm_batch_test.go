@@ -125,6 +125,48 @@ func TestVactAccuracy(t *testing.T) {
 	}
 }
 
+// TestFastActivationsPropagateNaN pins that the vectorized sigmoid, tanh and
+// softmax exp return NaN for a NaN input, in both precisions, instead of
+// clamping it to a finite value: a NaN logit must reach ScreenScores. The
+// NaN lanes sit inside a full vector and in the masked tail.
+func TestFastActivationsPropagateNaN(t *testing.T) {
+	nan := math.NaN()
+	row := func() []float64 { return []float64{0.5, -2, nan, 3, 41, -41, 0, 1, 2, nan, -1} }
+	narrow := func(r []float64) []float32 {
+		out := make([]float32, len(r))
+		for i, v := range r {
+			out[i] = float32(v)
+		}
+		return out
+	}
+	for _, act := range []Act{ActSigmoid, ActTanh} {
+		in := row()
+		got := append([]float64(nil), in...)
+		applyActFast(got, act)
+		got32 := narrow(in)
+		applyActFastF32(got32, act)
+		for i, x := range in {
+			if math.IsNaN(x) != math.IsNaN(got[i]) {
+				t.Fatalf("act=%d f64: f(%g) = %g", act, x, got[i])
+			}
+			if math.IsNaN(x) != math.IsNaN(float64(got32[i])) {
+				t.Fatalf("act=%d f32: f(%g) = %g", act, x, got32[i])
+			}
+		}
+	}
+	// A NaN anywhere in a softmax row poisons the normalising sum, so every
+	// output must be NaN.
+	got := row()
+	softmaxInPlaceFast(got)
+	got32 := narrow(row())
+	softmaxInPlaceFastF32(got32)
+	for i := range got {
+		if !math.IsNaN(got[i]) || !math.IsNaN(float64(got32[i])) {
+			t.Fatalf("softmax[%d] = %g (f64), %g (f32); want NaN", i, got[i], got32[i])
+		}
+	}
+}
+
 func TestGemmBatchBiasActMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, act := range []Act{ActNone, ActReLU, ActSigmoid, ActTanh} {
@@ -208,16 +250,21 @@ func TestAttentionBlocksCompositionIndependent(t *testing.T) {
 				}
 			}
 		}
-		// exact=true must equal the sequential attention composition bit for bit
+		// exact=true must equal the exact kernel composition bit for bit:
+		// scaled QKᵀ, the math-package softmax, then the accumulate gemm.
 		if exact {
 			for blk := 0; blk < blocks; blk++ {
-				qb := c.view(tt, d, q.Data[blk*tt*d:(blk+1)*tt*d])
-				kb := c.view(tt, d, k.Data[blk*tt*d:(blk+1)*tt*d])
-				vb := c.view(tt, d, v.Data[blk*tt*d:(blk+1)*tt*d])
-				ref := c.MatMul(c.SoftmaxRows(c.MatMulNTScale(qb, kb, 0.25)), vb)
-				for i := range ref.Data {
-					if math.Float64bits(ref.Data[i]) != math.Float64bits(full.Data[blk*tt*d+i]) {
-						t.Fatalf("exact block %d elem %d diverges from sequential attention", blk, i)
+				lo, hi := blk*tt*d, (blk+1)*tt*d
+				scores := make([]float64, tt*tt)
+				gemmNTScale(scores, q.Data[lo:hi], k.Data[lo:hi], tt, d, tt, 0.25)
+				for r := 0; r < tt; r++ {
+					softmaxInPlace(scores[r*tt : (r+1)*tt])
+				}
+				ref := make([]float64, tt*d)
+				gemm(ref, scores, v.Data[lo:hi], tt, tt, d)
+				for i := range ref {
+					if math.Float64bits(ref[i]) != math.Float64bits(full.Data[lo+i]) {
+						t.Fatalf("exact block %d elem %d diverges from the exact kernels", blk, i)
 					}
 				}
 			}
